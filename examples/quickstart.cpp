@@ -3,8 +3,8 @@
 // the cache work.
 //
 // Build & run:
-//   cmake -B build -G Ninja && cmake --build build
-//   ./build/examples/quickstart
+//   cmake -B build && cmake --build build
+//   ./build/quickstart
 #include <iostream>
 
 #include "pagecache/kernel_params.hpp"

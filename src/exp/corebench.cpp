@@ -46,7 +46,6 @@ CoreScenarioResult run_core_scenario(const CoreScenarioConfig& config) {
   sim::Engine engine;
   engine.set_solver_cross_check(config.solver_cross_check);
   engine.set_solve_batching(config.solve_batching);
-  engine.set_solver_threads(static_cast<unsigned>(config.solver_threads < 0 ? 0 : config.solver_threads));
   if (config.profile != nullptr) engine.set_profiler(config.profile);
   const int tenants = config.tenants > 0 ? config.tenants : 1;
 
@@ -110,7 +109,6 @@ CoreScenarioResult run_core_scenario(const CoreScenarioConfig& config) {
   result.activities = static_cast<std::uint64_t>(total_actors) *
                       static_cast<std::uint64_t>(config.rounds);
   result.components_solved = engine.components_solved();
-  result.parallel_solves = engine.parallel_solves();
   result.cancelled_activities = engine.cancelled_activities();
   for (double c : checksums) result.completion_checksum += c;
   for (std::uint64_t c : ns_checksums) result.checksum_ns += c;

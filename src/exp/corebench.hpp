@@ -1,13 +1,13 @@
-// The engine-core benchmark scenario shared by bench_micro_core and the
-// determinism regression tests.
+// The engine-core benchmark scenario shared by perfbench's mega_tenant
+// workload and the determinism regression tests.
 //
 // A configurable fleet of actors performs rounds of simulated I/O on
 // per-group disk and link resources.  Groups are independent fair-share
 // components, so the scenario stresses exactly what the incremental solver
 // optimizes: at every scheduling point only a handful of the thousands of
 // running activities actually change rate.  The result carries both host
-// wall-clock metrics (for BENCH_core.json) and simulated-time fingerprints
-// (for determinism assertions across engine refactors).
+// wall-clock metrics (for perfbench) and simulated-time fingerprints (for
+// determinism assertions across engine refactors).
 #pragma once
 
 #include <cstdint>
@@ -35,12 +35,9 @@ struct CoreScenarioConfig {
   /// Independent tenants: the whole actor/resource population is cloned
   /// this many times with identical per-actor seeds, so tenant event
   /// timestamps align and every batched scheduling point carries many
-  /// dirty components — the shape the parallel solver exploits.  1 keeps
-  /// the classic single-tenant scenario byte-identical to before.
+  /// dirty components.  1 keeps the classic single-tenant scenario
+  /// byte-identical to before.
   int tenants = 1;
-  /// Engine::set_solver_threads (0 = auto); results are bit-identical for
-  /// any value — that is what the parallel determinism tests assert.
-  int solver_threads = 1;
   /// When >= 0: a crash driver cancels every actor of `crash_tenant` at
   /// this virtual time (Engine::cancel_group), mimicking a host_crash
   /// disruption mid-run.  Requires tenants > 1.
@@ -68,13 +65,12 @@ struct CoreScenarioResult {
   /// nanosecond-scale divergence while staying immune to sub-ns ulp noise.
   std::uint64_t checksum_ns = 0;
   std::uint64_t components_solved = 0;  ///< dirty components enumerated
-  std::uint64_t parallel_solves = 0;    ///< scheduling points fanned to the pool
   std::uint64_t cancelled_activities = 0;  ///< from the crash driver, if any
 };
 
 CoreScenarioResult run_core_scenario(const CoreScenarioConfig& config);
 
-/// The ~100k-actor stress shape from ISSUE 7: the 1000-actor scenario
+/// The ~100k-actor stress shape: the 1000-actor scenario
 /// cloned across `tenants` independent tenants (identical seeds => aligned
 /// timestamps => many dirty components per scheduling point), with rounds
 /// cut to 3 to keep Release wall time in benchmark territory.

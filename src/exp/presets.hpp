@@ -60,7 +60,7 @@ ClusterPlatform make_cluster(plat::Platform& platform, BandwidthMode mode);
 [[nodiscard]] proto::ProtoConfig prototype_config(const cache::CacheParams& params = {});
 
 /// Reference-model parameters (the "real system"): kernel defaults plus the
-/// mechanisms of DESIGN.md §3.
+/// mechanisms listed in refmodel/page_model.hpp.
 [[nodiscard]] ref::RefParams reference_params();
 
 }  // namespace pcs::exp

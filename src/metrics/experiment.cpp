@@ -350,13 +350,13 @@ util::Json evaluate_check(const util::Json& check, const std::vector<CaseData>& 
         const std::string& group = check.at("group").as_string();
         what += " group '" + group + "'";
         if (!got.contains(group)) throw MetricsError(what + " not present");
-        got = got.at(group);
+        got = util::Json(got.at(group));  // copy first: the source lives inside got
       }
       if (check.contains("field")) {
         const std::string& field = check.at("field").as_string();
         what += " ." + field;
         if (!got.is_object() || !got.contains(field)) throw MetricsError(what + " not present");
-        got = got.at(field);
+        got = util::Json(got.at(field));
       }
     } else {
       throw MetricsError("check needs \"case\", \"aggregate\" or \"equal_cases\"");
@@ -500,7 +500,6 @@ ExperimentSpec ExperimentSpec::parse(const util::Json& doc, const std::string& b
   if (doc.contains("expect")) {
     for (const util::Json& check : doc.at("expect").as_array()) spec.expect.push_back(check);
   }
-  if (doc.contains("timing")) spec.timing = doc.at("timing");
   return spec;
 }
 

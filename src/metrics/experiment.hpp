@@ -29,8 +29,7 @@
 //       {"case": "wrench_cache,20GB", "of": "compute1_s", "equals": 28.0},
 //       {"equal_cases": ["merge,reread", "no_merge,reread"], "of": "makespan"},
 //       {"aggregate": "mean_err", "group": "wrench", "min": 100.0}
-//     ],
-//     "timing": {"x": "instances", "group_by": 0}     // bench_runner hints
+//     ]
 //   }
 //
 // Series paths address the run's JSON projection (metrics/result_json.hpp)
@@ -97,7 +96,6 @@ struct ExperimentSpec {
   std::vector<DerivedSpec> derived;
   std::vector<AggregationSpec> aggregations;
   std::vector<util::Json> expect;  ///< raw check documents (see header comment)
-  util::Json timing;               ///< opaque hints for bench_runner (null if absent)
 
   static ExperimentSpec parse(const util::Json& doc, const std::string& base_dir = "");
   static ExperimentSpec from_file(const std::string& path);
@@ -130,7 +128,6 @@ ExperimentReport run_experiment(const ExperimentSpec& spec, const ExperimentOpti
 /// Label part at `axis` ("wrench,20GB" -> axis 1 -> "20GB").  Labels are
 /// the comma-joined per-axis parts SweepSpec::expand generates; negative
 /// axes and custom labels with too few parts return the whole label.
-/// Shared by group_by aggregation and bench_runner's timing groups.
 [[nodiscard]] std::string label_part(const std::string& label, int axis);
 
 /// CSV flavour: one row per case, one column per scalar series/derived

@@ -2,8 +2,8 @@
 // from.  Everything in it is a *simulated* quantity: per-task phase
 // timings, cache profiles/final state, engine counters, makespan.  Host
 // wall-clock is deliberately absent, which is what keeps experiment reports
-// byte-identical for any --jobs value (bench/bench_runner.cpp layers
-// wall-clock timing on top separately).
+// byte-identical for any --jobs value (perfbench measures wall-clock time
+// separately).
 #pragma once
 
 #include "scenario/run_result.hpp"

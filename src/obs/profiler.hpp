@@ -1,22 +1,20 @@
 // Observability: wall-clock self-profiling of the engine's hot paths.
 //
 // An EngineProfile accumulates real (steady_clock) time per engine section
-// — recompute_rates as a whole, the dirty-set BFS, solve dispatch (serial
-// and per SolverPool slot), the component merge, and timed-event dispatch.
-// The engine only reads the clock when a profile is attached
-// (Engine::set_profiler), so the unprofiled hot path stays untouched.
+// — recompute_rates as a whole, the dirty-set BFS, the component solves,
+// the completion updates, and timed-event dispatch.  The engine only reads
+// the clock when a profile is attached (Engine::set_profiler), so the
+// unprofiled hot path stays untouched.
 //
 // Wall-clock numbers are *never* part of simulated reports: they go to
-// stderr (`pcs_cli ... --profile`) and to the `self_profile` section of
-// BENCH_core.json — the same quarantine every other wall-clock figure in
-// the repo lives under.
+// stderr (`pcs_cli ... --profile`) and to the perfbench per-layer record —
+// the same quarantine every other wall-clock figure in the repo lives
+// under.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <vector>
-
-#include "util/json.hpp"
+#include <string>
 
 namespace pcs::obs {
 
@@ -33,19 +31,9 @@ struct ProfileSection {
 struct EngineProfile {
   ProfileSection recompute_rates;  ///< whole recompute (BFS + solve + merge)
   ProfileSection bfs;              ///< dirty-set connected-component enumeration
-  ProfileSection solve;            ///< serial component solves (driving thread)
-  ProfileSection merge;            ///< rate merge + completion rescheduling
+  ProfileSection solve;            ///< component sort + sync + progressive filling
+  ProfileSection merge;            ///< completion rescheduling of solved activities
   ProfileSection dispatch;         ///< coroutine dispatch (Engine::drain_ready)
-  /// Per-SolverPool-slot solve time (slot 0 = the driving thread).  Sized
-  /// by the engine before any parallel dispatch; each worker thread only
-  /// touches its own slot, so no synchronization is needed.
-  std::vector<ProfileSection> slot_solve;
-
-  void ensure_slots(std::size_t n) {
-    if (slot_solve.size() < n) slot_solve.resize(n);
-  }
-
-  [[nodiscard]] util::Json to_json() const;
 
   /// Human-readable report (for `--profile` on stderr).
   [[nodiscard]] std::string report() const;

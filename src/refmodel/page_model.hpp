@@ -1,7 +1,7 @@
 // Reference kernel page-cache model — the "real system" substitute.
 //
 // The paper validates against executions on a physical cluster.  This
-// module plays that role (see DESIGN.md §3): an *independent*,
+// module plays that role: an *independent*,
 // finer-grained simulation of the Linux page cache that includes exactly
 // the kernel mechanisms the paper identifies as the sources of its residual
 // model error:

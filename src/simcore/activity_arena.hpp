@@ -1,5 +1,5 @@
-// Arena storage for activities: stable uint32 slots, struct-of-arrays hot
-// fields, generation counters.
+// Arena storage for activities: stable uint32 slots and struct-of-arrays
+// hot fields.
 //
 // At million-task scale the former one-shared_ptr-per-activity layout made
 // the solver chase a heap pointer per field touch and the allocator the
@@ -12,9 +12,9 @@
 // allocates nothing per activity after warm-up.
 //
 // Lifetime: a slot stays live while the activity is running or any external
-// ActivityRef handle points at it (`ext_refs`).  Release bumps the slot's
-// generation so recycled slots are distinguishable; completion-heap entries
-// use the per-slot monotone `version` (never reset on reuse) so stale
+// ActivityRef handle points at it (`ext_refs`), so no handle ever observes
+// a recycled slot.  Completion-heap entries, which hold bare slots, use the
+// per-slot monotone 64-bit `version` (never reset on reuse) so stale
 // entries can never alias a successor activity.  The arena is owned by a
 // shared_ptr: handles that outlive the Engine keep the storage alive, which
 // preserves the old "detached ActivityPtr survives engine teardown"
@@ -61,8 +61,7 @@ class ActivityArena {
     double total = 0.0;
     double start_time = 0.0;
     double end_time = -1.0;
-    std::uint32_t generation = 0;  ///< bumped at release; stale-handle detector
-    std::uint32_t ext_refs = 0;    ///< live external ActivityRef handles
+    std::uint32_t ext_refs = 0;  ///< live external ActivityRef handles
     ActivitySlot next_free = kNoActivity;
     /// The awaiting actor, with the generation of its frame at suspension.
     FrameRef waiter{};
@@ -126,7 +125,6 @@ class ActivityArena {
   void release(ActivitySlot s) {
     assert(done[s] && cold[s].ext_refs == 0 && "releasing a live activity slot");
     Cold& c = cold[s];
-    ++c.generation;
     c.label.clear();
     c.claims.clear();  // keeps capacity for the next incumbent of this slot
     c.waiter = FrameRef{};

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
-#include <thread>
 
 #include "obs/profiler.hpp"
-#include "simcore/solver_pool.hpp"
 #include "simcore/trace.hpp"
 #include "util/log.hpp"
 
@@ -19,11 +16,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // large enough that any realistic work amount finishes "instantly" yet
 // finite so that time arithmetic stays well-defined.
 constexpr double kUnconstrainedRate = 1e30;
-// Below this many affected activities a solve is dispatched serially even
-// when a pool is configured: waking the workers costs a few microseconds,
-// which only pays off once the components carry real work.  A pure
-// wall-clock heuristic — results are bit-identical either way.
-constexpr std::size_t kParallelSolveMinActivities = 64;
 }  // namespace
 
 bool SleepAwaiter::await_ready() const noexcept { return wake_time_ <= engine_.now(); }
@@ -35,7 +27,6 @@ void SleepAwaiter::await_suspend(std::coroutine_handle<> h) {
 Engine::Engine() : arena_(std::make_shared<ActivityArena>()) {
   arena_->engine = this;
   util::Logger::instance().set_clock([this] { return now_; });
-  solve_scratch_.resize(1);  // slot 0: the driving thread's solve buffer
 }
 
 Engine::~Engine() {
@@ -267,45 +258,16 @@ double Engine::heap_top_time() {
   return kInf;
 }
 
-void Engine::set_solver_threads(unsigned threads) {
-  solver_threads_requested_ = threads;
-  unsigned resolved = threads;
-  if (resolved == 0) {
-    resolved = std::thread::hardware_concurrency();
-    if (resolved == 0) resolved = 1;
-  }
-  if (resolved != solver_threads_) {
-    pool_.reset();  // recreated lazily at the next parallel-eligible solve
-    solver_threads_ = resolved;
-  }
-  if (solve_scratch_.size() < solver_threads_) solve_scratch_.resize(solver_threads_);
-}
-
-void Engine::solve_component(std::vector<ActivitySlot>& acts,
-                             std::vector<Resource*>& used_scratch) {
-  // Canonical order: ascending id = submission order, the same relative
-  // order a full solve over `running_` would visit.  This keeps tie-breaks
-  // — and therefore floating-point operation order — bit-identical to the
-  // full solve.
-  std::sort(acts.begin(), acts.end(),
-            [this](ActivitySlot x, ActivitySlot y) { return arena_->id[x] < arena_->id[y]; });
-  for (ActivitySlot slot : acts) sync_remaining(slot);
-  solve_subset(acts, used_scratch);
-}
-
 void Engine::recompute_rates() {
   // Enumerate the dirty connected components of the incumbency graph
   // (resource -> claiming activities -> their other resources), one BFS per
   // still-unvisited dirty seed.  Everything outside keeps its rate,
-  // remaining amount and completion entry untouched.  Components are
-  // disjoint: a resource or activity belongs to exactly one, which is what
-  // lets them be solved concurrently without any locking.
+  // remaining amount and completion entry untouched.
   obs::ScopedTimer total_timer(profiler_ != nullptr ? &profiler_->recompute_rates : nullptr);
   ActivityArena& arena = *arena_;
   ++visit_mark_;
   ++solves_;
   component_count_ = 0;
-  std::size_t affected = 0;
   {
     obs::ScopedTimer bfs_timer(profiler_ != nullptr ? &profiler_->bfs : nullptr);
     for (Resource* seed : dirty_resources_) {
@@ -333,57 +295,44 @@ void Engine::recompute_rates() {
           }
         }
       }
-      if (!acts.empty()) {
-        affected += acts.size();
-        ++component_count_;  // idle components (no incumbents) are dropped
-      }
+      if (!acts.empty()) ++component_count_;  // idle components (no incumbents) are dropped
     }
     dirty_resources_.clear();
   }
   components_solved_ += component_count_;
 
   if (component_count_ > 0) {
-    if (solver_threads_ > 1 && component_count_ > 1 &&
-        affected >= kParallelSolveMinActivities) {
-      // Fan the components out to the pool; whichever participant is free
-      // takes the next one (work stealing), each with its own scratch.
-      if (!pool_) pool_ = std::make_unique<SolverPool>(solver_threads_ - 1);
-      ++parallel_solves_;
-      if (profiler_ != nullptr) profiler_->ensure_slots(solver_threads_);
-      pool_->run(component_count_, [this](std::size_t item, std::size_t slot) {
-        obs::ScopedTimer slot_timer(profiler_ != nullptr ? &profiler_->slot_solve[slot]
-                                                         : nullptr);
-        solve_component(components_[item], solve_scratch_[slot]);
-      });
-    } else {
+    {
       obs::ScopedTimer solve_timer(profiler_ != nullptr ? &profiler_->solve : nullptr);
       for (std::size_t i = 0; i < component_count_; ++i) {
-        solve_component(components_[i], solve_scratch_[0]);
+        // Canonical order: ascending id = submission order, the same
+        // relative order a full solve over `running_` would visit.  This
+        // keeps tie-breaks — and therefore floating-point operation order —
+        // bit-identical to the full solve.
+        std::vector<ActivitySlot>& acts = components_[i];
+        std::sort(acts.begin(), acts.end(), [&arena](ActivitySlot x, ActivitySlot y) {
+          return arena.id[x] < arena.id[y];
+        });
+        for (ActivitySlot slot : acts) sync_remaining(slot);
+        solve_subset(acts);
       }
     }
 
-    // Merge on the driving thread in component-id order (the smallest
-    // activity id in each solved component — acts are sorted, so that is
-    // the front).  Never in pool completion order: the completion heap
-    // must see pushes in a schedule-independent sequence.
+    // Push the new completion times.  Component order does not matter: the
+    // heap orders entries by (time, id), stale entries are dropped by
+    // version, and step() re-sorts each completed batch by id.
     obs::ScopedTimer merge_timer(profiler_ != nullptr ? &profiler_->merge : nullptr);
-    component_order_.resize(component_count_);
-    std::iota(component_order_.begin(), component_order_.end(), std::size_t{0});
-    std::sort(component_order_.begin(), component_order_.end(),
-              [this, &arena](std::size_t x, std::size_t y) {
-                return arena.id[components_[x].front()] < arena.id[components_[y].front()];
-              });
-    for (std::size_t index : component_order_) {
-      for (ActivitySlot slot : components_[index]) update_completion(slot);
+    for (std::size_t i = 0; i < component_count_; ++i) {
+      for (ActivitySlot slot : components_[i]) update_completion(slot);
     }
   }
 
   if (cross_check_) verify_full_solve();
 }
 
-void Engine::solve_subset(const std::vector<ActivitySlot>& acts,
-                          std::vector<Resource*>& used_scratch) {
+void Engine::solve_subset(const std::vector<ActivitySlot>& acts) {
   ActivityArena& arena = *arena_;
+  std::vector<Resource*>& used_scratch = solve_scratch_;
   used_scratch.clear();
   for (ActivitySlot s : acts) {
     arena.scratch_assigned[s] = 0;
@@ -472,9 +421,7 @@ void Engine::solve_subset(const std::vector<ActivitySlot>& acts,
 
 void Engine::verify_full_solve() {
   // Debug cross-check: the incremental solver must agree bit-for-bit with a
-  // full progressive-filling solve over every running activity.  Runs on the
-  // driving thread only, after the pool barrier, so borrowing slot 0's
-  // resource scratch is safe.
+  // full progressive-filling solve over every running activity.
   ActivityArena& arena = *arena_;
   std::vector<ActivitySlot>& all = full_solve_scratch_;
   all.clear();
@@ -485,7 +432,7 @@ void Engine::verify_full_solve() {
 
   // Save incremental rates, run the full solve, compare, restore.
   for (ActivitySlot slot : all) arena.scratch_check_rate[slot] = arena.rate[slot];
-  solve_subset(all, solve_scratch_[0]);
+  solve_subset(all);
   for (ActivitySlot slot : all) {
     const double full_rate = arena.rate[slot];
     arena.rate[slot] = arena.scratch_check_rate[slot];

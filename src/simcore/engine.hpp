@@ -2,7 +2,7 @@
 //
 // Single-threaded, deterministic.  Simulated "processes" are C++20
 // coroutines (sim::Task) spawned as root actors; they suspend on awaitables
-// (sleep, activities, mutexes, mailboxes) and the engine resumes them as
+// (sleep, activities, mutexes, semaphores) and the engine resumes them as
 // virtual time advances.  Between scheduling points the engine solves a
 // max-min fair allocation of resource capacities to running activities,
 // exactly the flow-level approach of SimGrid on which WRENCH (and therefore
@@ -30,34 +30,18 @@
 // `set_solve_batching(false)` as the A/B reference: both modes are
 // bit-identical in results (a solve is a pure function of the incumbency
 // graph, and no virtual time passes between the events of a batch), the
-// batched mode just performs fewer solves — see `fair_share_solves()` and
-// the `solve_batching` section of BENCH_core.json.
+// batched mode just performs fewer solves — see `fair_share_solves()`.
 //
 // Termination: the run loop ends when every non-daemon root actor has
 // finished.  Daemon actors (the Memory Manager's periodic-flush thread,
 // Algorithm 1 of the paper, is an infinite loop) are simply abandoned at
 // that point, mirroring SimGrid's daemonized actors.
 //
-// Parallel component solving: because the components of a scheduling point
-// are disjoint by construction, the engine can solve them concurrently on
-// a persistent worker pool (`set_solver_threads`, scenario key
-// `"solver_threads"`).  Each component is solved exactly as in the serial
-// path — same activity ordering, same progressive filling, per-participant
-// scratch buffers — and the results (rates, remaining amounts, completion
-// heap entries) are merged back on the driving thread in *component-id*
-// order (the smallest activity id in the component), never in thread
-// completion order, so the simulation stays bit-identical for any thread
-// count.  See `components_solved()` / `parallel_solves()` and the
-// `component_parallel` section of BENCH_core.json.
-//
-// Threading: one Engine per *driving* thread.  An Engine and everything
-// built on it (resources, activities, actors) must be driven from a single
-// thread, and globals it touches (util::Logger's clock) are thread-local —
-// so fully independent simulations may run on concurrent threads (this is
-// what scenario::run_sweep does), but a single Engine must never be shared.
-// The solver worker pool is internal: its threads touch only per-component
-// solver state between two barriers of a solve and never run actor code,
-// so the external contract is unchanged.
+// Threading: one Engine per thread.  An Engine and everything built on it
+// (resources, activities, actors) must be driven from a single thread, and
+// globals it touches (util::Logger's clock) are thread-local — so fully
+// independent simulations may run on concurrent threads (this is what
+// scenario::run_sweep does), but a single Engine must never be shared.
 #pragma once
 
 #include <coroutine>
@@ -203,10 +187,10 @@ class Engine {
 
   /// Attach a wall-clock self-profile (obs/profiler.hpp): the engine
   /// accumulates real time spent in recompute_rates, the dirty-set BFS,
-  /// component solving (per SolverPool slot), the merge and timed-event
-  /// dispatch.  Pass nullptr to detach (default — the hot path then never
-  /// reads the clock).  Wall-clock only: attaching never perturbs simulated
-  /// results.  The profile must outlive the engine's use.
+  /// component solving, the completion updates and timed-event dispatch.
+  /// Pass nullptr to detach (default — the hot path then never reads the
+  /// clock).  Wall-clock only: attaching never perturbs simulated results.
+  /// The profile must outlive the engine's use.
   void set_profiler(obs::EngineProfile* profile) { profiler_ = profile; }
 
   /// Re-run the full progressive-filling solve after every incremental
@@ -224,27 +208,10 @@ class Engine {
   void set_solve_batching(bool enabled) { solve_batching_ = enabled; }
   [[nodiscard]] bool solve_batching() const { return solve_batching_; }
 
-  /// Solve the dirty components of each scheduling point on a persistent
-  /// worker pool of `threads` participants (the driving thread included).
-  /// 0 = auto (std::thread::hardware_concurrency); 1 = serial (default).
-  /// Results are bit-identical for any value — components are disjoint and
-  /// the merge runs in component-id order — so this is a pure wall-clock
-  /// knob, sweepable from ScenarioSpec like `solve_batching`.  Set between
-  /// runs, not from actor code mid-solve.
-  void set_solver_threads(unsigned threads);
-  /// The requested value (0 = auto), as set_solver_threads received it.
-  [[nodiscard]] unsigned solver_threads() const { return solver_threads_requested_; }
-  /// The resolved participant count actually used (auto already expanded).
-  [[nodiscard]] unsigned resolved_solver_threads() const { return solver_threads_; }
-
   /// Total dirty connected components solved (across all scheduling
   /// points); >= fair_share_solves() since one solve covers every
   /// component dirtied at its timestamp.
   [[nodiscard]] std::uint64_t components_solved() const { return components_solved_; }
-  /// Solves whose components were dispatched to the worker pool (0 when
-  /// solver_threads <= 1 or when a solve stayed under the parallel
-  /// threshold).
-  [[nodiscard]] std::uint64_t parallel_solves() const { return parallel_solves_; }
 
   /// Internal (called by Resource::set_capacity and activity lifecycle):
   /// mark a resource's fair-share component for re-solving.
@@ -296,15 +263,9 @@ class Engine {
     if (!solve_batching_ && !dirty_resources_.empty()) recompute_rates();
   }
   void recompute_rates();
-  /// Sort + sync + solve one component; runs on pool workers as well as the
-  /// driving thread, so it must touch only the component's own activities
-  /// and resources plus the given per-participant scratch.
-  void solve_component(std::vector<ActivitySlot>& acts, std::vector<Resource*>& used_scratch);
   /// Progressive filling restricted to `acts` (sorted by id) and the
-  /// resources they claim; writes the arena's rate array.  `used_scratch`
-  /// is the caller's reusable resource list (per pool participant).
-  void solve_subset(const std::vector<ActivitySlot>& acts,
-                    std::vector<Resource*>& used_scratch);
+  /// resources they claim; writes the arena's rate array.
+  void solve_subset(const std::vector<ActivitySlot>& acts);
   /// Materialize remaining work at the current virtual time.
   void sync_remaining(ActivitySlot slot);
   /// Refresh the completion time and push a fresh heap entry.
@@ -336,13 +297,10 @@ class Engine {
 #else
       false;
 #endif
-  unsigned solver_threads_requested_ = 1;
-  unsigned solver_threads_ = 1;  ///< resolved participant count (auto expanded)
   std::uint64_t next_id_ = 1;
   std::uint64_t scheduling_points_ = 0;
   std::uint64_t solves_ = 0;
   std::uint64_t components_solved_ = 0;
-  std::uint64_t parallel_solves_ = 0;
   std::uint64_t same_time_points_ = 0;
   double last_sp_time_ = -std::numeric_limits<double>::infinity();
   std::uint64_t visit_mark_ = 0;
@@ -366,22 +324,14 @@ class Engine {
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
   std::vector<RootActor> roots_;
 
-  /// The worker pool behind set_solver_threads, created lazily at the
-  /// first parallel-eligible solve so serial engines never spawn threads.
-  std::unique_ptr<class SolverPool> pool_;
-
-  // Reused solve scratch (avoids per-point allocation — the hot-path
-  // memory groundwork of the million-task ROADMAP item).  components_
-  // keeps the first component_count_ slots live and the inner vectors
-  // retain their capacity across scheduling points; solve_scratch_ holds
-  // one resource list per pool participant so concurrent component solves
-  // never share a buffer.
+  // Reused solve scratch (avoids per-point allocation).  components_ keeps
+  // the first component_count_ slots live and the inner vectors retain
+  // their capacity across scheduling points.
   std::vector<std::vector<ActivitySlot>> components_;
   std::size_t component_count_ = 0;
-  std::vector<std::size_t> component_order_;  ///< merge order (by component id)
   std::vector<Resource*> bfs_stack_;
-  std::vector<std::vector<Resource*>> solve_scratch_;  ///< [pool slot]
-  std::vector<ActivitySlot> full_solve_scratch_;       ///< verify_full_solve
+  std::vector<Resource*> solve_scratch_;          ///< solve_subset's resource list
+  std::vector<ActivitySlot> full_solve_scratch_;  ///< verify_full_solve
   std::vector<ActivitySlot> completed_scratch_;
   std::vector<ActivitySlot> orphan_scratch_;  ///< cancellation sweep
 };

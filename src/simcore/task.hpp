@@ -87,7 +87,7 @@ struct PromiseBase {
 
 /// A coroutine handle plus the generation of the frame it pointed to when
 /// captured.  Queues that may outlive their coroutines (ready queue, timer
-/// heap, mutex/CV/semaphore/mailbox waiter deques, activity waiters) store
+/// heap, mutex/CV/semaphore waiter deques, activity waiters) store
 /// FrameRefs and skip entries whose frame died — that is how cancellation
 /// composes with every existing suspension point.
 struct FrameRef {

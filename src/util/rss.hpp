@@ -1,8 +1,7 @@
 // Host-process memory probe: peak resident set size.
 //
 // Wall-clock/host-side quantities never enter simulated reports; this one
-// feeds the `--profile` stderr report, the `self_profile`/`arena_soa`
-// sections of BENCH_core.json and the bench harness — the same quarantine
+// feeds the `--profile` stderr report and perfbench — the same quarantine
 // every steady_clock figure lives under.
 #pragma once
 

@@ -1,6 +1,6 @@
 // The activity arena (simcore/activity_arena.hpp): slot recycling through
-// the freelist, generation counters distinguishing reincarnations, the
-// monotone per-slot version, external-handle refcounting, and the SoA
+// the freelist, the monotone per-slot version, external-handle
+// refcounting, and the SoA
 // bookkeeping — exercised in randomized lockstep against a naive reference
 // model, the same pattern lru_property_test uses for the page-cache slab.
 #include <gtest/gtest.h>
@@ -34,24 +34,19 @@ TEST(ActivityArena, AllocInitializesEverySoaField) {
   EXPECT_GT(arena.bytes_reserved(), 0u);
 }
 
-TEST(ActivityArena, ReleaseRecyclesLifoAndBumpsGeneration) {
+TEST(ActivityArena, ReleaseRecyclesLifo) {
   ActivityArena arena;
   const ActivitySlot a = arena.alloc(0, "a", {}, 1.0, 0.0, 0.0);
   const ActivitySlot b = arena.alloc(1, "b", {}, 1.0, 0.0, 0.0);
   EXPECT_EQ(arena.slots(), 2u);
-  const std::uint32_t gen_a = arena.cold[a].generation;
   arena.done[a] = 1;
   arena.release(a);
   EXPECT_EQ(arena.live(), 1u);
-  EXPECT_EQ(arena.cold[a].generation, gen_a + 1);
   EXPECT_TRUE(arena.cold[a].label.empty());
   // The freed slot comes back first (LIFO), and the slab does not grow.
   const ActivitySlot c = arena.alloc(2, "c", {}, 1.0, 0.0, 0.0);
   EXPECT_EQ(c, a);
   EXPECT_EQ(arena.slots(), 2u);
-  // A handle that captured (slot, generation) before the release can tell
-  // it now points at a different incarnation.
-  EXPECT_NE(arena.cold[c].generation, gen_a);
   arena.done[b] = 1;
   arena.done[c] = 1;
   arena.release(b);
@@ -70,10 +65,8 @@ TEST(ActivityArena, ExternalRefsDeferRecyclingUntilTheLastDrop) {
   EXPECT_EQ(arena.live(), 1u);
   arena.drop_ref(s);
   EXPECT_EQ(arena.live(), 1u);
-  const std::uint32_t gen = arena.cold[s].generation;
   arena.drop_ref(s);  // last handle gone -> released
   EXPECT_EQ(arena.live(), 0u);
-  EXPECT_EQ(arena.cold[s].generation, gen + 1);
 }
 
 TEST(ActivityArena, ProjectedRemainingWithoutAnEngineIsTheRawRemaining) {
@@ -89,13 +82,12 @@ TEST(ActivityArena, ProjectedRemainingWithoutAnEngineIsTheRawRemaining) {
 TEST(ActivityArena, RandomizedLockstepAgainstAReferenceModel) {
   // Reference model: every live activity is a map entry keyed by its
   // submission id, remembering what the arena must report for it.  The
-  // arena's slot/generation mechanics are implementation detail the model
-  // never sees — only the invariants are compared.
+  // arena's slot mechanics are implementation detail the model never sees
+  // — only the invariants are compared.
   struct RefActivity {
     ActivitySlot slot = kNoActivity;
     std::string label;
     double amount = 0.0;
-    std::uint32_t generation = 0;  ///< at alloc: stale once it diverges
     std::uint32_t refs = 0;
     bool done = false;
   };
@@ -138,7 +130,6 @@ TEST(ActivityArena, RandomizedLockstepAgainstAReferenceModel) {
       const std::size_t before = arena.slots();
       const bool expect_reuse = arena.slots() > arena.live();
       ref.slot = arena.alloc(act, ref.label, {}, ref.amount, 0.0, 0.0);
-      ref.generation = arena.cold[ref.slot].generation;
       // Freelist first: the slab only grows when every slot is live.
       EXPECT_EQ(arena.slots(), expect_reuse ? before : before + 1);
       if (expect_reuse) ++reused;
@@ -168,11 +159,11 @@ TEST(ActivityArena, RandomizedLockstepAgainstAReferenceModel) {
       --ref.refs;
       if (ref.done && ref.refs == 0) forget(act);
     } else {  // audit a random live activity against the model
-      const auto& ref = model.at(pick_live());
+      const std::uint64_t act = pick_live();
+      const auto& ref = model.at(act);
+      EXPECT_EQ(arena.id[ref.slot], act) << "live slot was recycled under a handle";
       EXPECT_EQ(arena.cold[ref.slot].label, ref.label);
       EXPECT_EQ(arena.cold[ref.slot].total, ref.amount);
-      EXPECT_EQ(arena.cold[ref.slot].generation, ref.generation)
-          << "live slot was recycled under a handle";
       EXPECT_EQ(arena.cold[ref.slot].ext_refs, ref.refs);
       EXPECT_EQ(arena.done[ref.slot] != 0, ref.done);
     }

@@ -13,7 +13,7 @@
 
 #include "exp/corebench.hpp"
 #include "simcore/engine.hpp"
-#include "simcore/mailbox.hpp"
+#include "simcore/sync.hpp"
 #include "simcore/task.hpp"
 
 namespace pcs::exp {
@@ -200,81 +200,74 @@ TEST(EngineDeterminism, CrossCheckCatchesCapacityEdits) {
   EXPECT_NEAR(engine.now(), 18.0, 0.05);
 }
 
-// --- Parallel component solving (solver_threads) --------------------------
+// --- Multi-tenant shapes -------------------------------------------------
 //
-// The worker pool must be invisible in the results: for any thread count
-// the simulation is bit-identical to the serial engine — same scheduling
-// points, same ns-granular checksum, same makespan — because components
-// are disjoint and the merge happens in component-id order on the driving
-// thread.  These tests assert that contract on the 1000-actor scenario and
-// on the multi-tenant shape that actually exercises the pool; the ~100k
-// stress version lives in parallel_solver_test.
+// mega_tenant clones the 1000-actor scenario across independent tenants
+// with identical seeds, so batched scheduling points carry many dirty
+// components at once.  The ~100k-actor version is perfbench's mega_tenant
+// workload, whose pinned checksum is 100x the one-tenant value below.
 
-/// Runs `config` at every thread count in {1, 2, 8} plus a repeat of the
-/// serial run, and asserts all results are bitwise equal to the first.
-void expect_parallel_bit_identical(CoreScenarioConfig config) {
-  config.solver_threads = 1;
-  const CoreScenarioResult serial = run_core_scenario(config);
-  const CoreScenarioResult serial_again = run_core_scenario(config);
-  EXPECT_EQ(serial.checksum_ns, serial_again.checksum_ns);
-  EXPECT_EQ(serial.scheduling_points, serial_again.scheduling_points);
-  for (int threads : {2, 8}) {
-    config.solver_threads = threads;
-    const CoreScenarioResult parallel = run_core_scenario(config);
-    const CoreScenarioResult parallel_again = run_core_scenario(config);
-    EXPECT_EQ(serial.scheduling_points, parallel.scheduling_points) << "threads=" << threads;
-    EXPECT_EQ(serial.fair_share_solves, parallel.fair_share_solves) << "threads=" << threads;
-    EXPECT_EQ(serial.components_solved, parallel.components_solved) << "threads=" << threads;
-    EXPECT_EQ(serial.final_vtime, parallel.final_vtime) << "threads=" << threads;  // bitwise
-    EXPECT_EQ(serial.completion_checksum, parallel.completion_checksum)
-        << "threads=" << threads;
-    EXPECT_EQ(serial.checksum_ns, parallel.checksum_ns) << "threads=" << threads;
-    EXPECT_EQ(serial.cancelled_activities, parallel.cancelled_activities)
-        << "threads=" << threads;
-    // Run-twice at the same width: the pool schedule may differ, results not.
-    EXPECT_EQ(parallel.checksum_ns, parallel_again.checksum_ns) << "threads=" << threads;
-    EXPECT_EQ(parallel.final_vtime, parallel_again.final_vtime) << "threads=" << threads;
-  }
+/// Runs `config` twice and asserts the two results are bitwise equal.
+void expect_run_twice_bit_identical(const CoreScenarioConfig& config) {
+  const CoreScenarioResult a = run_core_scenario(config);
+  const CoreScenarioResult b = run_core_scenario(config);
+  EXPECT_EQ(a.scheduling_points, b.scheduling_points);
+  EXPECT_EQ(a.fair_share_solves, b.fair_share_solves);
+  EXPECT_EQ(a.components_solved, b.components_solved);
+  EXPECT_EQ(a.final_vtime, b.final_vtime);  // bitwise
+  EXPECT_EQ(a.completion_checksum, b.completion_checksum);
+  EXPECT_EQ(a.checksum_ns, b.checksum_ns);
+  EXPECT_EQ(a.cancelled_activities, b.cancelled_activities);
 }
 
-TEST(EngineDeterminism, ParallelSolveBitIdenticalOn1000Actors) {
-  CoreScenarioConfig config;
-  config.actors = 1000;
-  config.groups = 100;
-  config.rounds = 3;
-  expect_parallel_bit_identical(config);
+TEST(EngineDeterminism, MegaTenantChecksumIsPinned) {
+  // The seed-42 one-tenant fingerprint; any change in event ordering or
+  // simulated durations moves it.
+  const CoreScenarioResult r = run_core_scenario(mega_tenant_config(1));
+  EXPECT_EQ(r.checksum_ns, 353907547601u);
+  EXPECT_EQ(r.activities, 3000u);
 }
 
-TEST(EngineDeterminism, ParallelSolveBitIdenticalOnMultiTenant) {
-  // 10 tenants x 1000 actors: tenant clones align timestamps, so batched
-  // scheduling points carry many dirty components and the pool actually
-  // engages (asserted via parallel_solves below).
+TEST(EngineDeterminism, MegaTenantRunTwiceIsBitIdentical) {
   CoreScenarioConfig config = mega_tenant_config(10);
-  config.solver_threads = 2;
-  const CoreScenarioResult parallel = run_core_scenario(config);
-  EXPECT_GT(parallel.parallel_solves, 0u);
-  expect_parallel_bit_identical(config);
+  expect_run_twice_bit_identical(config);
+  // Tenants are independent clones: the checksum is exactly 10x one
+  // tenant's, whatever the interleaving of their components.
+  EXPECT_EQ(run_core_scenario(config).checksum_ns, 10u * 353907547601u);
 }
 
-TEST(EngineDeterminism, ParallelSolveBitIdenticalUnderHostCrash) {
-  // PR 6 disruption semantics meet the pool: a tenant crash mid-run
-  // (cancel_group from a driver actor) retires whole components while
-  // other components are still being solved in parallel batches.  The
-  // merge order — and therefore every timing — must not notice.
+TEST(EngineDeterminism, MegaTenantCrossCheckMatchesPlainRun) {
+  // The full-solve cross-check re-solves the whole platform after every
+  // scheduling point that carries many components at once.
   CoreScenarioConfig config = mega_tenant_config(4);
-  config.solver_threads = 1;
+  config.rounds = 2;
+  config.solver_cross_check = true;
+  const CoreScenarioResult checked = run_core_scenario(config);
+  config.solver_cross_check = false;
+  const CoreScenarioResult plain = run_core_scenario(config);
+  EXPECT_EQ(checked.checksum_ns, plain.checksum_ns);
+  EXPECT_EQ(checked.final_vtime, plain.final_vtime);
+}
+
+TEST(EngineDeterminism, MegaTenantHostCrashIsDeterministic) {
+  // Disruption semantics on the multi-tenant shape: a tenant crash mid-run
+  // (cancel_group from a driver actor) retires whole components while the
+  // other tenants' components keep being solved.
+  CoreScenarioConfig config = mega_tenant_config(4);
   const CoreScenarioResult dry = run_core_scenario(config);
   config.crash_time = dry.final_vtime / 2.0;
   config.crash_tenant = 2;
   const CoreScenarioResult crashed = run_core_scenario(config);
   EXPECT_GT(crashed.cancelled_activities, 0u);
   EXPECT_LT(crashed.cancelled_activities, crashed.activities);
-  expect_parallel_bit_identical(config);
+  expect_run_twice_bit_identical(config);
 }
+
+// --- Cancellation edge cases ----------------------------------------------
 //
 // Fault injection (scenario "events") is built on Engine::cancel_group;
 // these tests pin its edge semantics directly: cancelling an actor blocked
-// in a mailbox receive, cancelling in the middle of a same-timestamp batch,
+// in a semaphore acquire, cancelling in the middle of a same-timestamp batch,
 // double-cancellation, and — the determinism contract — bit-identical logs
 // when the same faulty run is repeated.
 
@@ -285,43 +278,44 @@ std::string stamp(const std::string& what, double t) {
   return buf;
 }
 
-/// An actor parked in Mailbox::get() is cancelled; a later put() must skip
-/// the dead receiver and the run must still terminate.
-std::string mailbox_cancel_log() {
+/// An actor parked in Semaphore::acquire() is cancelled; a later release()
+/// must skip the dead waiter in the waiter deque, keep the permit, and the
+/// run must still terminate.
+std::string semaphore_cancel_log() {
   sim::Engine engine;
-  sim::Mailbox<int> box(engine);
+  sim::Semaphore sem(engine, 0);
   std::string log;
   auto event = [&](const std::string& what, double t) { log += stamp(what, t) + "\n"; };
   auto service = [&](sim::Engine& e) -> sim::Task<> {
-    for (;;) {
-      const int msg = co_await box.get();
-      event("got" + std::to_string(msg), e.now());
+    for (int n = 1;; ++n) {
+      co_await sem.acquire();
+      event("got" + std::to_string(n), e.now());
     }
   };
   auto driver = [&](sim::Engine& e) -> sim::Task<> {
-    box.put(1);
+    sem.release();
     co_await e.sleep(5.0);
     event("cancelled=" + std::to_string(e.cancel_group("svc")), e.now());
     co_await e.sleep(5.0);
-    box.put(2);  // receiver is dead: the message must park, not deadlock
-    event("put2", e.now());
+    sem.release();  // waiter is dead: the permit must park, not deadlock
+    event("release2", e.now());
   };
   engine.spawn("service", service(engine), /*daemon=*/false, "svc");
   engine.spawn("driver", driver(engine));
   engine.run();
   event("end live=" + std::to_string(engine.live_root_count()) +
-            " parked=" + std::to_string(box.size()),
+            " parked=" + std::to_string(sem.available()),
         engine.now());
   return log;
 }
 
-TEST(EngineDeterminism, CancelWhileBlockedInMailboxReceive) {
-  const std::string log = mailbox_cancel_log();
+TEST(EngineDeterminism, CancelWhileBlockedInSemaphoreAcquire) {
+  const std::string log = semaphore_cancel_log();
   EXPECT_NE(log.find("got1@0\n"), std::string::npos);
   EXPECT_NE(log.find("cancelled=1@5\n"), std::string::npos);
-  EXPECT_EQ(log.find("got2"), std::string::npos);  // receiver died before put2
+  EXPECT_EQ(log.find("got2"), std::string::npos);  // waiter died before release2
   EXPECT_NE(log.find("end live=0 parked=1@10\n"), std::string::npos);
-  EXPECT_EQ(log, mailbox_cancel_log());  // bit-identical on a second run
+  EXPECT_EQ(log, semaphore_cancel_log());  // bit-identical on a second run
 }
 
 /// Four group workers and one bystander all complete activities at t = 10,

@@ -161,29 +161,26 @@ TEST(FaultMaterialize, ScheduleIsSortedAndCrashWindowsAlternatePerHost) {
   }
 }
 
-TEST(FaultMaterialize, RunResultsIdenticalAcrossSolverThreadWidths) {
+TEST(FaultMaterialize, RunResultsIdenticalAcrossRuns) {
   util::Json doc = base_doc();
   doc.set("seed", 11.0);
   doc.set("fault_model", mtbf_model(200.0, 600.0));
   doc.set("on_task_failure", "continue");
 
-  doc.set("solver_threads", 1);
-  const ScenarioSpec one = ScenarioSpec::parse(doc);
-  doc.set("solver_threads", 8);
-  const ScenarioSpec eight = ScenarioSpec::parse(doc);
-  // The schedule is drawn at parse time, before any engine exists: widths
-  // cannot perturb it.
-  EXPECT_EQ(schedule_bytes(one), schedule_bytes(eight));
+  const ScenarioSpec first = ScenarioSpec::parse(doc);
+  const ScenarioSpec second = ScenarioSpec::parse(doc);
+  // The schedule is drawn at parse time, before any engine exists.
+  EXPECT_EQ(schedule_bytes(first), schedule_bytes(second));
 
-  const scenario::RunResult r1 = scenario::run_scenario(one);
-  const scenario::RunResult r8 = scenario::run_scenario(eight);
-  EXPECT_EQ(r1.makespan, r8.makespan);
-  ASSERT_EQ(r1.tasks.size(), r8.tasks.size());
-  for (std::size_t i = 0; i < r1.tasks.size(); ++i) {
-    EXPECT_EQ(r1.tasks[i].name, r8.tasks[i].name);
-    EXPECT_EQ(r1.tasks[i].end, r8.tasks[i].end);
+  const scenario::RunResult a = scenario::run_scenario(first);
+  const scenario::RunResult b = scenario::run_scenario(second);
+  EXPECT_EQ(a.makespan, b.makespan);
+  ASSERT_EQ(a.tasks.size(), b.tasks.size());
+  for (std::size_t i = 0; i < a.tasks.size(); ++i) {
+    EXPECT_EQ(a.tasks[i].name, b.tasks[i].name);
+    EXPECT_EQ(a.tasks[i].end, b.tasks[i].end);
   }
-  EXPECT_EQ(r1.disruptions_fired, r8.disruptions_fired);
+  EXPECT_EQ(a.disruptions_fired, b.disruptions_fired);
 }
 
 // --- correlated domains ----------------------------------------------------

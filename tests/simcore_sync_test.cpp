@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "simcore/mailbox.hpp"
 #include "test_helpers.hpp"
 
 namespace pcs::sim {
@@ -175,59 +174,6 @@ TEST(Semaphore, ReleaseWithoutWaitersIncrements) {
   Semaphore sem(engine, 0);
   sem.release();
   EXPECT_EQ(sem.available(), 1u);
-}
-
-TEST(Mailbox, PutThenGet) {
-  Engine engine;
-  Mailbox<int> box(engine);
-  int received = 0;
-  auto body = [&](Engine& e) -> Task<> {
-    box.put(41);
-    received = co_await box.get();
-    (void)e;
-  };
-  test::run_actor(engine, body(engine));
-  EXPECT_EQ(received, 41);
-}
-
-TEST(Mailbox, GetBlocksUntilPut) {
-  Engine engine;
-  Mailbox<std::string> box(engine);
-  std::string received;
-  double received_at = -1.0;
-  auto consumer = [&](Engine& e) -> Task<> {
-    received = co_await box.get();
-    received_at = e.now();
-  };
-  auto producer = [&](Engine& e) -> Task<> {
-    co_await e.sleep(3.0);
-    box.put("hello");
-  };
-  engine.spawn("consumer", consumer(engine));
-  engine.spawn("producer", producer(engine));
-  engine.run();
-  EXPECT_EQ(received, "hello");
-  EXPECT_DOUBLE_EQ(received_at, 3.0);
-}
-
-TEST(Mailbox, PreservesFifoOrder) {
-  Engine engine;
-  Mailbox<int> box(engine);
-  std::vector<int> received;
-  auto consumer = [&](Engine& e) -> Task<> {
-    for (int i = 0; i < 3; ++i) received.push_back(co_await box.get());
-    (void)e;
-  };
-  auto producer = [&](Engine& e) -> Task<> {
-    for (int i = 1; i <= 3; ++i) {
-      box.put(i);
-      co_await e.sleep(1.0);
-    }
-  };
-  engine.spawn("consumer", consumer(engine));
-  engine.spawn("producer", producer(engine));
-  engine.run();
-  EXPECT_EQ(received, (std::vector<int>{1, 2, 3}));
 }
 
 }  // namespace

@@ -203,41 +203,6 @@ TEST(SweepRunner, SolveBatchingAblationIsBitIdentical) {
   }
 }
 
-// Scenario-level parallel-solver A/B, same shape as the batching ablation:
-// "solver_threads" is an ordinary sweepable key, and any width must leave
-// every simulated quantity bitwise unchanged — the pool only affects host
-// wall-clock.
-TEST(SweepRunner, SolverThreadsAblationIsBitIdentical) {
-  util::Json doc{util::JsonObject{}};
-  doc.set("name", "threads_ab");
-  doc.set("base", small_base());
-  util::Json axis{util::JsonObject{}};
-  axis.set("path", "solver_threads");
-  axis.set("values",
-           util::Json{util::JsonArray{}}.push_back(1).push_back(2).push_back(8).push_back(0));
-  doc.set("grid", util::Json{util::JsonArray{}}.push_back(std::move(axis)));
-
-  const std::vector<SweepCaseResult> results = run_sweep(SweepSpec::parse(doc), {.jobs = 2});
-  ASSERT_EQ(results.size(), 4u);
-  const SweepCaseResult& serial = results[0];
-  ASSERT_TRUE(serial.error.empty()) << serial.error;
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    const SweepCaseResult& parallel = results[i];
-    ASSERT_TRUE(parallel.error.empty()) << parallel.error;
-    EXPECT_EQ(serial.result.makespan, parallel.result.makespan) << parallel.label;  // bitwise
-    EXPECT_EQ(serial.result.scheduling_points, parallel.result.scheduling_points)
-        << parallel.label;
-    EXPECT_EQ(serial.result.fair_share_solves, parallel.result.fair_share_solves)
-        << parallel.label;
-    EXPECT_EQ(serial.result.components_solved, parallel.result.components_solved)
-        << parallel.label;
-    ASSERT_EQ(serial.result.tasks.size(), parallel.result.tasks.size());
-    for (std::size_t t = 0; t < serial.result.tasks.size(); ++t) {
-      EXPECT_EQ(serial.result.tasks[t].end, parallel.result.tasks[t].end) << parallel.label;
-    }
-  }
-}
-
 TEST(SweepRunner, CaseErrorsAreCapturedNotFatal) {
   util::Json doc{util::JsonObject{}};
   doc.set("base", small_base());
