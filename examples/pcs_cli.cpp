@@ -44,16 +44,17 @@
 //       (checks naming filtered-out cases are skipped; incompatible with
 //       --check/--update, which need the full report).
 //   pcs_cli replay <log.jsonl> [--platform P] [--scale S] [--load N]
-//       [--json] [--check] [--stream [--window N]]
+//       [--json] [--check] [--trace-viz FILE] [--window N]
 //       Replay a recorded log as a "trace" workload, by default on the
 //       scenario embedded in the log's header (so no flags are needed for
 //       the closed loop).  --scale multiplies arrival times, --load clones
 //       the log N times, --platform substitutes another platform file.
 //       --check asserts the replayed makespan and per-task timings are
 //       bit-identical to the recorded events (exit 1 on any drift).
-//       --stream replays through a tracelog::TaskLogReader cursor instead
-//       of a materialized TaskLog — O(live tasks) memory, bit-identical
-//       results; --window caps the parsed-workflow cache (default 64).
+//       Every replay streams through a tracelog::TaskLogReader cursor in
+//       O(live tasks) memory; --window caps its parsed-workflow cache
+//       (default 64).  --trace-viz exports the recorded log as a Chrome
+//       trace.
 //   pcs_cli trace-info <log.jsonl> [--json]
 //       Validate a log and print its summary (workflows, tasks, I/O bytes,
 //       makespan) from one streaming pre-scan — event records are counted,
@@ -140,7 +141,7 @@ void usage(std::ostream& out) {
          "  record <scenario.json> --out run.jsonl [--seed N] [--json] [--anonymize]\n"
          "         [--trace-viz FILE]\n"
          "  replay <log.jsonl> [--platform FILE] [--scale S] [--load N] [--json] [--check]\n"
-         "         [--trace-viz FILE] [--profile] [--stream [--window N]]\n"
+         "         [--trace-viz FILE] [--profile] [--window N]\n"
          "         (no --seed: a recorded stochastic fault schedule replays from the\n"
          "          log's header, so the recorded seed always wins)\n"
          "  trace-info <log.jsonl> [--json]\n"
@@ -475,7 +476,6 @@ int cmd_replay(const std::vector<std::string>& args) {
   bool as_json = false;
   bool check = false;
   bool profile = false;
-  bool stream = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg == "--platform") {
@@ -486,8 +486,6 @@ int cmd_replay(const std::vector<std::string>& args) {
       viz_path = args[i];
     } else if (arg == "--profile") {
       profile = true;
-    } else if (arg == "--stream") {
-      stream = true;
     } else if (arg == "--window") {
       if (++i >= args.size()) return usage_error("--window needs an argument");
       if (!parse_int(args[i], &window) || window < 1) {
@@ -521,50 +519,16 @@ int cmd_replay(const std::vector<std::string>& args) {
         "--check needs a default replay (no --scale/--load/--platform): the oracle "
         "compares against the log's own recorded run");
   }
-  if (!stream && window != static_cast<int>(tracelog::TaskLogReader::kDefaultWindow)) {
-    return usage_error("--window only applies with --stream");
-  }
-  if (stream && !viz_path.empty()) {
-    return usage_error(
-        "--trace-viz needs the materialized event stream; drop --stream for span export");
-  }
-
-  // Header fields the scenario build needs, extracted either from the
-  // materialized log or from a streaming pre-scan (which never holds the
-  // event records — the point of --stream).
-  std::string log_scenario;
-  std::string log_simulator;
-  util::Json source_scenario;
-  util::Json fault_schedule;
-  double recorded_makespan = 0.0;
-  std::size_t recorded_task_events = 0;
-  tracelog::TaskLog log;
-  if (stream) {
-    // The pre-scan validates as strictly as parse+validate; the scenario
-    // runner's workload build opens its own reader for the run itself.
-    tracelog::TaskLogReader reader(log_path, static_cast<std::size_t>(window));
-    log_scenario = reader.scenario();
-    log_simulator = reader.simulator();
-    source_scenario = reader.source_scenario();
-    fault_schedule = reader.fault_schedule();
-    recorded_makespan = reader.recorded_makespan();
-    recorded_task_events = reader.task_event_count();
-  } else {
-    log = tracelog::TaskLog::from_file(log_path);
-    log.validate();
-    log_scenario = log.scenario;
-    log_simulator = log.simulator;
-    source_scenario = log.source_scenario;
-    fault_schedule = log.fault_schedule;
-    recorded_makespan = log.recorded_makespan;
-    recorded_task_events = log.task_events.size();
-  }
+  // The pre-scan validates the whole log and yields the header; the
+  // scenario runner's workload build opens its own reader for the run.
+  const tracelog::TaskLogReader log(log_path);
+  const util::Json& source_scenario = log.source_scenario();
 
   // Post-hoc span export: the *recorded* log lowers to Chrome trace events
   // without re-running anything, so committed logs are visualizable as-is.
   if (!viz_path.empty()) {
     std::ofstream viz(viz_path);
-    const util::Json doc = obs::chrome_trace(log);
+    const util::Json doc = obs::chrome_trace(tracelog::TaskLog::from_file(log_path));
     if (viz) viz << doc.dump(2) << "\n";
     if (!viz) {
       std::cerr << "replay: cannot write '" << viz_path << "'\n";
@@ -580,10 +544,7 @@ int cmd_replay(const std::vector<std::string>& args) {
                std::filesystem::absolute(log_path).lexically_normal().string());
   if (scale != 1.0) workload.set("time_scale", scale);
   if (load != 1) workload.set("load_factor", load);
-  if (stream) {
-    workload.set("streaming", true);
-    workload.set("window", window);
-  }
+  workload.set("window", window);
 
   util::Json doc;
   if (!platform_path.empty()) {
@@ -593,7 +554,7 @@ int cmd_replay(const std::vector<std::string>& args) {
     // and every recorded workflow rebound onto it.  Timing-relevant scalars
     // (chunk size, cache params) carry over from the embedded spec.
     doc = util::Json{util::JsonObject{}};
-    if (!log_simulator.empty()) doc.set("simulator", log_simulator);
+    if (!log.simulator().empty()) doc.set("simulator", log.simulator());
     doc.set("platform", util::Json::parse_file(platform_path));
     if (!source_scenario.is_null()) {
       for (const char* key : {"chunk_size", "cache_params", "solve_batching", "warm_inputs"}) {
@@ -610,17 +571,17 @@ int cmd_replay(const std::vector<std::string>& args) {
               << "' embeds no scenario (header lacks \"source_scenario\"); pass --platform\n";
     return 1;
   }
-  doc.set("name", (log_scenario.empty() ? std::string("trace") : log_scenario) + ":replay");
+  doc.set("name", (log.scenario().empty() ? std::string("trace") : log.scenario()) + ":replay");
   doc.set("workload", std::move(workload));
 
   scenario::ScenarioSpec spec = scenario::ScenarioSpec::parse(doc);
-  if (!fault_schedule.is_null() && platform_path.empty()) {
+  if (!log.fault_schedule().is_null() && platform_path.empty()) {
     // The header's recorded schedule wins over re-materializing from the
     // embedded seed: replay must re-fire exactly what the recorded run saw,
     // even across fault-model generator changes.  (A substituted platform
     // invalidates the recorded host targets, so the schedule is dropped
     // with the rest of the recorded fault keys.)
-    spec.materialized_events = scenario::events_from_json(fault_schedule);
+    spec.materialized_events = scenario::events_from_json(log.fault_schedule());
   }
   obs::EngineProfile engine_profile;
   scenario::RunOptions options;
@@ -642,12 +603,12 @@ int cmd_replay(const std::vector<std::string>& args) {
     std::cout << "  DRIFT " << what << ": replayed " << got << ", recorded " << want << "\n";
     failed = true;
   };
-  if (result.makespan != recorded_makespan) {
-    mismatch("makespan", result.makespan, recorded_makespan);
+  if (result.makespan != log.recorded_makespan()) {
+    mismatch("makespan", result.makespan, log.recorded_makespan());
   }
-  if (result.tasks.size() != recorded_task_events) {
+  if (result.tasks.size() != log.task_event_count()) {
     std::cout << "  DRIFT task count: replayed " << result.tasks.size() << ", recorded "
-              << recorded_task_events << "\n";
+              << log.task_event_count() << "\n";
     failed = true;
   }
   // Index once: the oracle must stay linear for million-task logs.
@@ -677,26 +638,16 @@ int cmd_replay(const std::vector<std::string>& args) {
     }
     if (replayed->end != event.end) mismatch(event.name + ".end", replayed->end, event.end);
   };
-  if (stream) {
-    // The streaming oracle re-reads the log one record at a time: recorded
-    // task_done events are compared and dropped, never accumulated, so the
-    // check keeps the O(live) memory the streaming replay just ran with.
-    std::ifstream in(log_path);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      const util::Json rec = util::Json::parse(line);
-      if (rec.string_or("rec", "") != "task_done") continue;
-      check_event(tracelog::parse_task_event_record(rec));
-    }
-  } else {
-    for (const tracelog::TraceTaskEvent& event : log.task_events) check_event(event);
-  }
+  // The event pass compares recorded task_done events one at a time and
+  // drops them, so the check keeps the O(live) memory the replay ran with.
+  tracelog::TaskLogReader::EventVisitor visit;
+  visit.task_done = check_event;
+  log.for_each_event(visit);
   if (failed) {
     std::cerr << "replay check FAILED: replayed run diverges from the recorded log\n";
     return 1;
   }
-  std::cout << "replay check ok: " << recorded_task_events
+  std::cout << "replay check ok: " << log.task_event_count()
             << " task timings and the makespan are bit-identical to the recording\n";
   return 0;
 }
@@ -720,7 +671,6 @@ int cmd_trace_info(const std::vector<std::string>& args) {
 
   // One streaming pre-scan: every printed quantity is a pre-scan accumulator,
   // so inspecting a million-task log never materializes its event records.
-  // The output is byte-identical to what the materialized TaskLog produced.
   tracelog::TaskLogReader log(log_path);
 
   if (as_json) {

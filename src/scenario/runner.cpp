@@ -124,7 +124,7 @@ struct DriverContext {
   bool hold_open_repairs = false;
 };
 
-/// The instance is taken by value: a streaming trace instance carries its
+/// The instance is taken by value: a trace instance carries its
 /// materialize closure (and keeps the shared reader alive) into the actor
 /// frame, so the workflow's declaration records are parsed only now — at
 /// the submission instant — through the reader's bounded window.
@@ -448,8 +448,8 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& options) {
       workload::build_workload(sim, spec.workload, "", spec.base_dir);
 
   if (sampling) {
-    // Streaming-trace window gauges, registered only when the workload
-    // actually streams (instances share one reader).
+    // Trace-reader window gauges, registered only when the workload replays
+    // a task log (instances share one reader).
     for (const workload::WorkloadInstance& instance : instances) {
       if (instance.reader == nullptr) continue;
       std::shared_ptr<tracelog::TaskLogReader> reader = instance.reader;
@@ -467,7 +467,7 @@ RunResult run_scenario(const ScenarioSpec& spec, const RunOptions& options) {
   std::set<std::string> workload_files;
   for (const workload::WorkloadInstance& instance : instances) {
     if (instance.workflow == nullptr) {
-      // Deferred (streaming-trace) instance: the reader's pre-scan already
+      // Deferred (trace) instance: the reader's pre-scan already
       // knows every file name without materializing the DAG.
       workload_files.insert(instance.files.begin(), instance.files.end());
       continue;

@@ -1,10 +1,9 @@
 #include "tracelog/task_log.hpp"
 
 #include <fstream>
-#include <map>
-#include <set>
-#include <sstream>
 #include <utility>
+
+#include "tracelog/task_log_reader.hpp"
 
 namespace pcs::tracelog {
 
@@ -198,162 +197,33 @@ util::Json summary_record(double makespan, std::size_t tasks) {
   return doc;
 }
 
-TaskLog TaskLog::parse(std::istream& in) {
-  TaskLog log;
-  log.version = 0;  // until a header is seen
-  // Workflow records may interleave with events (delayed arrivals land
-  // between earlier workflows' completions), so index by id while reading.
-  std::map<std::uint64_t, std::size_t> wf_index;
-  std::string line;
-  std::size_t line_no = 0;
-  bool saw_header = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    // Skip blank lines (a trailing newline is normal).
-    std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    util::Json rec;
-    try {
-      rec = util::Json::parse(line);
-    } catch (const util::JsonError& e) {
-      throw TraceError("task log line " + std::to_string(line_no) + ": " + e.what());
-    }
-    const std::string kind = rec.string_or("rec", "");
-    try {
-      if (kind == "header") {
-        if (saw_header) throw TraceError("duplicate header record");
-        saw_header = true;
-        log.version = static_cast<int>(rec.at("version").as_number());
-        log.scenario = rec.string_or("scenario", "");
-        log.simulator = rec.string_or("simulator", "");
-        log.anonymized = rec.bool_or("anonymized", false);
-        if (rec.contains("source_scenario")) log.source_scenario = rec.at("source_scenario");
-        if (rec.contains("fault_schedule")) log.fault_schedule = rec.at("fault_schedule");
-      } else if (kind == "workflow") {
-        TraceWorkflow workflow = parse_workflow_record(rec);
-        if (wf_index.count(workflow.id) != 0) {
-          throw TraceError("duplicate workflow id " + std::to_string(workflow.id));
-        }
-        wf_index[workflow.id] = log.workflows.size();
-        log.workflows.push_back(std::move(workflow));
-      } else if (kind == "task") {
-        std::uint64_t wf_id = 0;
-        TraceTaskDecl task = parse_task_record(rec, &wf_id);
-        auto it = wf_index.find(wf_id);
-        if (it == wf_index.end()) {
-          throw TraceError("task references unknown workflow id " + std::to_string(wf_id));
-        }
-        log.workflows[it->second].tasks.push_back(std::move(task));
-      } else if (kind == "task_done") {
-        log.task_events.push_back(parse_task_event_record(rec));
-      } else if (kind == "task_attempt") {
-        log.task_attempts.push_back(parse_task_attempt_record(rec));
-      } else if (kind == "disruption") {
-        log.disruptions.push_back(parse_disruption_record(rec));
-      } else if (kind == "io") {
-        log.io_events.push_back(parse_io_event_record(rec));
-      } else if (kind == "summary") {
-        log.recorded_makespan = rec.at("makespan").as_number();
-      } else {
-        throw TraceError("unknown record type '" + kind + "'");
-      }
-    } catch (const util::JsonError& e) {
-      throw TraceError("task log line " + std::to_string(line_no) + " (" +
-                       (kind.empty() ? "no \"rec\" field" : kind) + "): " + e.what());
-    } catch (const TraceError& e) {
-      throw TraceError("task log line " + std::to_string(line_no) + ": " + e.what());
-    }
-  }
-  if (!saw_header) throw TraceError("task log has no header record");
-  return log;
-}
-
-TaskLog TaskLog::parse_text(const std::string& text) {
-  std::istringstream in(text);
-  return parse(in);
-}
-
 TaskLog TaskLog::from_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw TraceError("cannot open task log '" + path + "'");
-  try {
-    return parse(in);
-  } catch (const TraceError& e) {
-    throw TraceError(path + ": " + e.what());
+  // The reader's pre-scan validates the whole file; window 1 suffices for
+  // one in-order pass over the workflows.
+  TaskLogReader reader(path, 1);
+  TaskLog log;
+  log.version = reader.version();
+  log.scenario = reader.scenario();
+  log.simulator = reader.simulator();
+  log.anonymized = reader.anonymized();
+  log.source_scenario = reader.source_scenario();
+  log.fault_schedule = reader.fault_schedule();
+  log.recorded_makespan = reader.recorded_makespan();
+  log.workflows.reserve(reader.workflows().size());
+  for (std::size_t i = 0; i < reader.workflows().size(); ++i) {
+    log.workflows.push_back(reader.workflow(i));
   }
-}
-
-void TaskLog::validate() const {
-  if (version < kMinTaskLogVersion || version > kTaskLogVersion) {
-    throw TraceError("unsupported task log version " + std::to_string(version) +
-                     " (this build reads versions " + std::to_string(kMinTaskLogVersion) +
-                     ".." + std::to_string(kTaskLogVersion) + ")");
-  }
-  std::set<std::string> task_names;
-  for (const TraceWorkflow& workflow : workflows) {
-    if (workflow.submit < 0.0) {
-      throw TraceError("workflow '" + workflow.label + "': negative submit time");
-    }
-    std::set<std::string> local;
-    for (const TraceTaskDecl& task : workflow.tasks) {
-      if (!task_names.insert(task.name).second) {
-        throw TraceError("duplicate task name '" + task.name + "'");
-      }
-      local.insert(task.name);
-      if (task.flops < 0.0) throw TraceError("task '" + task.name + "': negative flops");
-      for (const wf::FileSpec& f : task.inputs) {
-        if (f.size < 0.0) throw TraceError("task '" + task.name + "': negative input size");
-      }
-      for (const wf::FileSpec& f : task.outputs) {
-        if (f.size < 0.0) throw TraceError("task '" + task.name + "': negative output size");
-      }
-    }
-    for (const TraceTaskDecl& task : workflow.tasks) {
-      for (const std::string& dep : task.deps) {
-        if (local.count(dep) == 0) {
-          throw TraceError("task '" + task.name + "': dependency '" + dep +
-                           "' is not a task of workflow '" + workflow.label + "'");
-        }
-      }
-    }
-  }
-  for (const TraceTaskEvent& event : task_events) {
-    if (task_names.count(event.name) == 0) {
-      throw TraceError("task_done event for undeclared task '" + event.name + "'");
-    }
-    if (event.end < event.start) {
-      throw TraceError("task_done '" + event.name + "': end precedes start");
-    }
-  }
-  for (const TraceIoEvent& event : io_events) {
-    if (event.bytes < 0.0) {
-      throw TraceError("io event on '" + event.file + "': negative byte count");
-    }
-    if (event.end < event.start) {
-      throw TraceError("io event on '" + event.file + "': end precedes start");
-    }
-    if (!event.task.empty() && task_names.count(event.task) == 0) {
-      throw TraceError("io event on '" + event.file + "' names undeclared task '" +
-                       event.task + "'");
-    }
-  }
-  for (const TraceTaskAttempt& attempt : task_attempts) {
-    if (task_names.count(attempt.name) == 0) {
-      throw TraceError("task_attempt for undeclared task '" + attempt.name + "'");
-    }
-    if (attempt.attempt < 1) {
-      throw TraceError("task_attempt '" + attempt.name + "': attempt must be >= 1");
-    }
-    if (attempt.end < attempt.start) {
-      throw TraceError("task_attempt '" + attempt.name + "': end precedes start");
-    }
-  }
-  for (const TraceDisruption& disruption : disruptions) {
-    if (disruption.type.empty()) throw TraceError("disruption record with empty type");
-    if (disruption.time < 0.0) {
-      throw TraceError("disruption '" + disruption.type + "': negative time");
-    }
-  }
+  TaskLogReader::EventVisitor visit;
+  visit.task_done = [&log](TraceTaskEvent event) { log.task_events.push_back(std::move(event)); };
+  visit.io = [&log](TraceIoEvent event) { log.io_events.push_back(std::move(event)); };
+  visit.task_attempt = [&log](TraceTaskAttempt attempt) {
+    log.task_attempts.push_back(std::move(attempt));
+  };
+  visit.disruption = [&log](TraceDisruption disruption) {
+    log.disruptions.push_back(std::move(disruption));
+  };
+  reader.for_each_event(visit);
+  return log;
 }
 
 void TaskLog::save(std::ostream& out) const {

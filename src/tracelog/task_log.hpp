@@ -10,7 +10,8 @@
 //
 // On disk a log is versioned JSONL: one JSON object per line, dispatched on
 // its "rec" field, so million-task logs stream through O(1) memory on the
-// write side and line-by-line on the read side:
+// write side and line-by-line on the read side (tracelog::TaskLogReader is
+// the one reader; a workflow's task records follow its workflow record):
 //
 //   {"rec":"header","version":1,"scenario":"nighres","simulator":"wrench_cache",
 //    "source_scenario":{...}}                    // effective ScenarioSpec dump
@@ -23,8 +24,8 @@
 //    "read_start":0,"read_end":12.5,"compute_end":40.5,"write_end":55,"end":55}
 //   {"rec":"summary","makespan":172.4,"tasks":3}
 //
-// Schema v2 (this build) adds the fault-injection records — v1 logs parse
-// unchanged and re-save byte-identically (a parsed log keeps its own
+// Schema v2 (this build) adds the fault-injection records — v1 logs read
+// unchanged and re-save byte-identically (a read log keeps its own
 // version):
 //
 //   {"rec":"disruption","type":"host_crash","time":40,"target":"node0"}
@@ -162,19 +163,9 @@ struct TaskLog {
   std::vector<TraceDisruption> disruptions;     ///< v2: injected disruptions
   double recorded_makespan = 0.0;  ///< from the summary record (0 if none)
 
-  /// Parse a JSONL document (text or file).  Parsing validates structurally
-  /// (known record types, tasks reference declared workflows); call
-  /// validate() for the full cross-record checks.
-  static TaskLog parse(std::istream& in);
-  static TaskLog parse_text(const std::string& text);
+  /// Read a whole JSONL log into memory through TaskLogReader (whose
+  /// pre-scan validates it; throws TraceError prefixed with the path).
   static TaskLog from_file(const std::string& path);
-
-  /// Full consistency check; throws TraceError with the offending record's
-  /// context.  Checks: supported version, unique task names, dependency
-  /// edges referencing tasks of the same workflow, non-negative
-  /// sizes/flops/times, task events and task-attributed I/O events naming
-  /// declared tasks.
-  void validate() const;
 
   /// Serialize as JSONL, streamed line-by-line (never materializes the
   /// whole document).
@@ -195,7 +186,7 @@ struct TaskLog {
   [[nodiscard]] double first_submit() const;
 };
 
-// --- single-record parsing, shared by TaskLog::parse and TaskLogReader ----
+// --- single-record parsing, used by TaskLogReader ---------------------------
 
 [[nodiscard]] TraceWorkflow parse_workflow_record(const util::Json& rec);
 /// Returns the declaring workflow id through `wf_id`.

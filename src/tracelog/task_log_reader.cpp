@@ -43,8 +43,7 @@ void TaskLogReader::prescan() {
   bool saw_header = false;
   // Global task-name census: uniqueness, and task_done/io/task_attempt
   // records must reference declared tasks.  In a recorded log every event
-  // follows its declaration, so checking against names-so-far is the
-  // validate() check in stream order.
+  // follows its declaration, so names-so-far is the whole census.
   std::unordered_set<std::string> names;
   std::unordered_set<std::uint64_t> wf_ids;
   // The workflow whose declarations are still arriving, plus its local
@@ -124,10 +123,9 @@ void TaskLogReader::prescan() {
           if (wf_ids.count(wf_id) == 0) {
             throw TraceError("task references unknown workflow id " + std::to_string(wf_id));
           }
-          throw TraceError(
-              "task record for workflow " + std::to_string(wf_id) +
-              " is not contiguous with its workflow record; streaming replay needs "
-              "recorder-ordered logs (use a materialized replay for this file)");
+          throw TraceError("task record for workflow " + std::to_string(wf_id) +
+                           " is not contiguous with its workflow record; a log's task "
+                           "records must follow their workflow record");
         }
         if (!names.insert(task.name).second) {
           throw TraceError("duplicate task name '" + task.name + "'");
@@ -244,6 +242,34 @@ TraceWorkflow TaskLogReader::load_workflow(const TraceWorkflowMeta& meta) {
     workflow.tasks.push_back(std::move(task));
   }
   return workflow;
+}
+
+void TaskLogReader::for_each_event(const EventVisitor& visit) const {
+  // A stream of its own: the pass never disturbs workflow()'s seek cursor.
+  std::ifstream in(path_);
+  if (!in) throw TraceError("cannot open task log '" + path_ + "'");
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    try {
+      const util::Json rec = util::Json::parse(line);
+      const std::string kind = rec.string_or("rec", "");
+      if (kind == "task_done") {
+        if (visit.task_done) visit.task_done(parse_task_event_record(rec));
+      } else if (kind == "io") {
+        if (visit.io) visit.io(parse_io_event_record(rec));
+      } else if (kind == "task_attempt") {
+        if (visit.task_attempt) visit.task_attempt(parse_task_attempt_record(rec));
+      } else if (kind == "disruption") {
+        if (visit.disruption) visit.disruption(parse_disruption_record(rec));
+      }
+    } catch (const util::JsonError& e) {
+      throw TraceError(path_ + ": task log line " + std::to_string(line_no) + ": " + e.what() +
+                       " (log changed since the pre-scan?)");
+    }
+  }
 }
 
 const TraceWorkflow& TaskLogReader::workflow(std::size_t index) {

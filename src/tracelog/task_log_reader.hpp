@@ -1,37 +1,41 @@
-// Streaming task-log access: replay a million-task JSONL log through a
-// bounded window instead of materializing the whole TaskLog.
+// Task-log access: the one reader of the JSONL task-log format.  Every
+// replay streams through it, so a million-task log replays through a
+// bounded window instead of being held in memory whole.
 //
-// TaskLog::from_file parses every record — including the task_done and io
-// event streams, which dominate a long recording — into memory before the
-// first workflow is rebuilt.  The reader splits that into two passes:
+// Three kinds of access to the file:
 //
 //   1. A pre-scan (constructor): one forward read of the file that keeps
 //      only per-workflow metadata — label, service binding, submit time,
 //      task count, referenced file names, and the byte offset of the
 //      workflow record — plus O(1) summary accumulators (task/io event
-//      counts, read/written bytes, last task end) and the header.  Event
-//      records are validated and dropped, never stored.  The pre-scan
-//      enforces the same structural checks as TaskLog::parse + validate(),
-//      so a log that streams cleanly would also materialize cleanly.
+//      counts, read/written bytes, last task end) and the header.  Every
+//      record is validated here, in stream order (supported version, unique
+//      workflow ids and task names, in-workflow dependencies, non-negative
+//      sizes/flops/times, events naming declared tasks); event records are
+//      then dropped, never stored.
 //   2. On-demand workflow loads (workflow(i)): seek to the recorded offset
 //      and parse just that workflow's declaration records, holding at most
 //      `window` parsed workflows in an LRU cache.  Out-of-order access
 //      (load_factor clones pulling the same recorded workflow at staggered
 //      virtual times) re-parses after eviction instead of growing the
 //      window.
+//   3. The event pass (for_each_event): re-reads the file and hands each
+//      task_done / io / task_attempt / disruption record to a callback —
+//      what `replay --check` compares against and TaskLog::from_file
+//      collects for the in-memory model.
 //
 // Memory is O(#workflows) metadata + O(window) parsed declarations,
 // independent of the event-record volume — the property the
 // `alloc/trace_window_bytes` gauge reports and trace_replay_test asserts.
 //
-// Streaming requires each workflow's task records to follow its workflow
-// record before the next workflow begins (what TaskLogRecorder writes).
-// Interleaved declarations — legal for TaskLog::parse — are rejected with a
-// pointer at materialized replay.
+// A workflow's task records must follow its workflow record before the
+// next workflow begins (what TaskLogRecorder and TaskLog::save write);
+// interleaved declarations are rejected by the pre-scan.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <list>
 #include <string>
 #include <unordered_map>
@@ -61,7 +65,7 @@ class TaskLogReader {
   static constexpr std::size_t kDefaultWindow = 64;
 
   /// Pre-scans `path` (throws TraceError on malformed or non-contiguous
-  /// logs, prefixed with the path like TaskLog::from_file).  `window` is
+  /// logs, prefixed with the path).  `window` is
   /// the maximum number of parsed workflows cached at once (>= 1).
   explicit TaskLogReader(std::string path, std::size_t window = kDefaultWindow);
 
@@ -88,6 +92,18 @@ class TaskLogReader {
   /// bounded cache.  The reference stays valid until `window` further
   /// workflow() calls at the earliest.
   [[nodiscard]] const TraceWorkflow& workflow(std::size_t index);
+
+  /// Callbacks of the event pass; a null member skips that record type.
+  struct EventVisitor {
+    std::function<void(TraceTaskEvent)> task_done;
+    std::function<void(TraceIoEvent)> io;
+    std::function<void(TraceTaskAttempt)> task_attempt;
+    std::function<void(TraceDisruption)> disruption;
+  };
+  /// The event pass: re-reads the file from the start and hands every event
+  /// record, in file order, to its callback.  Nothing is retained, so the
+  /// pass runs in O(1) memory whatever the log's length.
+  void for_each_event(const EventVisitor& visit) const;
 
   // --- window gauges --------------------------------------------------------
   [[nodiscard]] std::size_t window() const { return window_; }

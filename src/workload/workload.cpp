@@ -1,9 +1,9 @@
 #include "workload/workload.hpp"
 
+#include <cmath>
 #include <limits>
 #include <utility>
 
-#include "tracelog/task_log.hpp"
 #include "tracelog/task_log_reader.hpp"
 #include "util/paths.hpp"
 #include "util/units.hpp"
@@ -37,6 +37,20 @@ void build_from_trace(wf::Workflow& workflow, const tracelog::TraceWorkflow& rec
   }
 }
 
+/// A count-valued key (instances, load_factor, window): checked to be a
+/// finite integer in [1, INT_MAX] *before* the cast, since converting an
+/// out-of-range double to int is undefined behaviour.
+int count_field(const util::Json& spec, const char* key, double fallback,
+                const std::string& context) {
+  const double value = spec.number_or(key, fallback);
+  if (!(value >= 1.0 && value <= std::numeric_limits<int>::max()) ||
+      value != std::floor(value)) {
+    throw WorkloadError(context + ": " + key + " must be an integer in [1, " +
+                        std::to_string(std::numeric_limits<int>::max()) + "]");
+  }
+  return static_cast<int>(value);
+}
+
 }  // namespace
 
 util::Json prefixed_workflow_doc(const util::Json& doc, const std::string& prefix) {
@@ -66,8 +80,7 @@ std::vector<WorkloadInstance> build_workload(wf::Simulation& sim, const util::Js
                                              const std::string& base_dir) {
   if (!spec.is_object()) throw WorkloadError("workload spec must be a JSON object");
   const std::string type = spec.string_or("type", "synthetic");
-  const int instances = static_cast<int>(spec.number_or("instances", 1));
-  if (instances < 1) throw WorkloadError("workload: instances must be >= 1");
+  const int instances = count_field(spec, "instances", 1.0, "workload");
   const double arrival = spec.number_or("arrival", 0.0);
   const double stagger = spec.number_or("stagger", 0.0);
   if (arrival < 0.0 || stagger < 0.0) {
@@ -127,8 +140,7 @@ std::vector<WorkloadInstance> build_workload(wf::Simulation& sim, const util::Js
     }
     const double time_scale = spec.number_or("time_scale", 1.0);
     if (time_scale <= 0.0) throw WorkloadError("trace workload: time_scale must be positive");
-    const int load_factor = static_cast<int>(spec.number_or("load_factor", 1));
-    if (load_factor < 1) throw WorkloadError("trace workload: load_factor must be >= 1");
+    const int load_factor = count_field(spec, "load_factor", 1.0, "trace workload");
     const double window_start = spec.number_or("start", 0.0);
     const double window_end =
         spec.number_or("end", std::numeric_limits<double>::infinity());
@@ -136,99 +148,60 @@ std::vector<WorkloadInstance> build_workload(wf::Simulation& sim, const util::Js
       throw WorkloadError("trace workload: need 0 <= start < end");
     }
 
-    if (spec.bool_or("streaming", false)) {
-      // Streaming replay: a shared TaskLogReader cursor instead of a
-      // materialized TaskLog.  The pre-scan supplies everything scheduling
-      // needs (labels, services, submit times, file names); task bodies
-      // parse at submission time through the reader's bounded window.
-      const auto window = static_cast<std::size_t>(
-          spec.number_or("window", static_cast<double>(tracelog::TaskLogReader::kDefaultWindow)));
-      if (window < 1) throw WorkloadError("trace workload: window must be >= 1");
-      std::shared_ptr<tracelog::TaskLogReader> reader;
-      try {
-        reader = std::make_shared<tracelog::TaskLogReader>(
-            util::resolve_relative(base_dir, spec.at("file").as_string()), window);
-      } catch (const tracelog::TraceError& e) {
-        throw WorkloadError(std::string("trace workload: ") + e.what());
-      }
-      if (reader->workflows().empty()) {
-        throw WorkloadError("trace workload: log contains no workflow records");
-      }
-      wf::Simulation* simp = &sim;
-      for (int k = 0; k < load_factor; ++k) {
-        const std::string clone =
-            load_factor > 1 ? "c" + std::to_string(k) + ":" : std::string();
-        const std::string full_prefix = prefix + clone;
-        for (std::size_t i = 0; i < reader->workflows().size(); ++i) {
-          const tracelog::TraceWorkflowMeta& meta = reader->workflows()[i];
-          if (meta.submit < window_start || meta.submit >= window_end) continue;
-          std::string bound = meta.service;
-          if (spec.contains("remap") && spec.at("remap").contains(bound)) {
-            bound = spec.at("remap").at(bound).as_string();
-          } else if (!service.empty()) {
-            bound = service;
-          }
-          WorkloadInstance instance;
-          instance.service = bound;
-          instance.arrival =
-              arrival + stagger * k + (meta.submit - window_start) * time_scale;
-          instance.label = full_prefix + meta.label;
-          instance.reader = reader;
-          instance.files.reserve(meta.files.size());
-          for (const std::string& f : meta.files) instance.files.push_back(full_prefix + f);
-          // Memoized so a second call (defensive) never double-builds.
-          auto built = std::make_shared<wf::Workflow*>(nullptr);
-          instance.materialize = [simp, reader, i, full_prefix, built]() -> wf::Workflow* {
-            if (*built == nullptr) {
-              wf::Workflow& workflow = simp->create_workflow();
-              build_from_trace(workflow, reader->workflow(i), full_prefix);
-              *built = &workflow;
-            }
-            return *built;
-          };
-          out.push_back(std::move(instance));
-        }
-      }
-      if (out.empty()) {
-        throw WorkloadError("trace workload: the [start, end) window selects no workflows");
-      }
-      return out;
-    }
-
-    tracelog::TaskLog log;
+    // A shared TaskLogReader cursor: the pre-scan supplies everything
+    // scheduling needs (labels, services, submit times, file names); task
+    // bodies parse at submission time through the reader's bounded window.
+    const int window = count_field(spec, "window",
+                                   static_cast<double>(tracelog::TaskLogReader::kDefaultWindow),
+                                   "trace workload");
+    std::shared_ptr<tracelog::TaskLogReader> reader;
     try {
-      log = tracelog::TaskLog::from_file(
-          util::resolve_relative(base_dir, spec.at("file").as_string()));
-      log.validate();
+      reader = std::make_shared<tracelog::TaskLogReader>(
+          util::resolve_relative(base_dir, spec.at("file").as_string()),
+          static_cast<std::size_t>(window));
     } catch (const tracelog::TraceError& e) {
       throw WorkloadError(std::string("trace workload: ") + e.what());
     }
-    if (log.workflows.empty()) {
+    if (reader->workflows().empty()) {
       throw WorkloadError("trace workload: log contains no workflow records");
     }
-
+    wf::Simulation* simp = &sim;
     for (int k = 0; k < load_factor; ++k) {
       // Clone namespaces follow the multi-tenant composition rule; a single
       // clone keeps the recorded names so a default replay is bit-exact.
       const std::string clone =
           load_factor > 1 ? "c" + std::to_string(k) + ":" : std::string();
-      for (const tracelog::TraceWorkflow& recorded : log.workflows) {
-        if (recorded.submit < window_start || recorded.submit >= window_end) continue;
-        wf::Workflow& workflow = sim.create_workflow();
-        build_from_trace(workflow, recorded, prefix + clone);
-        std::string bound = recorded.service;
+      const std::string full_prefix = prefix + clone;
+      for (std::size_t i = 0; i < reader->workflows().size(); ++i) {
+        const tracelog::TraceWorkflowMeta& meta = reader->workflows()[i];
+        if (meta.submit < window_start || meta.submit >= window_end) continue;
+        std::string bound = meta.service;
         if (spec.contains("remap") && spec.at("remap").contains(bound)) {
           bound = spec.at("remap").at(bound).as_string();
         } else if (!service.empty()) {
           bound = service;  // blanket rebinding for replays on other platforms
         }
+        WorkloadInstance instance;
+        instance.service = bound;
         // The window is rebased to t=0 and stretched by time_scale; with
         // the defaults (start 0, scale 1) this reproduces the recorded
         // submission instants exactly.
-        out.push_back(WorkloadInstance{
-            &workflow, bound,
-            arrival + stagger * k + (recorded.submit - window_start) * time_scale,
-            prefix + clone + recorded.label});
+        instance.arrival = arrival + stagger * k + (meta.submit - window_start) * time_scale;
+        instance.label = full_prefix + meta.label;
+        instance.reader = reader;
+        instance.files.reserve(meta.files.size());
+        for (const std::string& f : meta.files) instance.files.push_back(full_prefix + f);
+        // Memoized so a second call (defensive) never double-builds.
+        auto built = std::make_shared<wf::Workflow*>(nullptr);
+        instance.materialize = [simp, reader, i, full_prefix, built]() -> wf::Workflow* {
+          if (*built == nullptr) {
+            wf::Workflow& workflow = simp->create_workflow();
+            build_from_trace(workflow, reader->workflow(i), full_prefix);
+            *built = &workflow;
+          }
+          return *built;
+        };
+        out.push_back(std::move(instance));
       }
     }
     if (out.empty()) {

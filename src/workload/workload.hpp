@@ -23,12 +23,11 @@
 //                    ({recorded service -> replacement}).  With the default
 //                    knobs a replay on the recorded platform reproduces the
 //                    original run bit-for-bit (tests/trace_replay_test.cpp).
-//                    "streaming": true swaps the materialized TaskLog for a
-//                    tracelog::TaskLogReader cursor: workflow declarations
-//                    parse at their submission instants through a bounded
-//                    window of "window" parsed workflows (default 64), so a
-//                    million-task log replays in O(live tasks) memory —
-//                    still bit-identical to the materialized replay.
+//                    Every replay streams through a tracelog::TaskLogReader
+//                    cursor: workflow declarations parse at their submission
+//                    instants through a bounded window of "window" parsed
+//                    workflows (default 64), so a million-task log replays
+//                    in O(live tasks) memory.
 //
 // Common fields: "instances" (default 1), "arrival" (seconds, default 0),
 // "stagger" (seconds added per instance, default 0), "service" (storage
@@ -68,10 +67,10 @@ class WorkloadError : public std::runtime_error {
 /// One workflow to run: built into the owning Simulation, bound to a
 /// storage service, submitted at `arrival`.
 ///
-/// Eager generators set `workflow` at build time.  The streaming trace
-/// generator leaves it null and provides `materialize` instead: the runner
-/// calls it at the submission instant, so a deferred workflow's declaration
-/// records are parsed (through the reader's bounded window) only when the
+/// Eager generators set `workflow` at build time.  The trace generator
+/// leaves it null and provides `materialize` instead: the runner calls it
+/// at the submission instant, so a deferred workflow's declaration records
+/// are parsed (through the reader's bounded window) only when the
 /// simulation actually needs them.
 struct WorkloadInstance {
   wf::Workflow* workflow = nullptr;  ///< owned by the Simulation; null = deferred
@@ -83,7 +82,7 @@ struct WorkloadInstance {
   /// Deferred instances only: the (prefixed) file names this workflow will
   /// reference, so the runner's workload_files set needs no materialization.
   std::vector<std::string> files;
-  /// Deferred instances only: the shared streaming reader (window gauges).
+  /// Deferred instances only: the shared task-log reader (window gauges).
   std::shared_ptr<tracelog::TaskLogReader> reader;
 };
 

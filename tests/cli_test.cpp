@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
 #include <string>
+
+#include "util/json.hpp"
 
 #ifndef PCS_SOURCE_DIR
 #define PCS_SOURCE_DIR "."
@@ -36,6 +39,10 @@ TEST(Cli, UnknownCommandAndFlagsExitTwo) {
   EXPECT_EQ(run_cli("--bogus-flag"), 2);
   EXPECT_EQ(run_cli("run --bogus scenario.json"), 2);
   EXPECT_EQ(run_cli("sweep --bogus sweep.json"), 2);
+  // Every replay streams, so replay has no --stream flag.
+  EXPECT_EQ(run_cli("replay " + std::string(PCS_SOURCE_DIR) +
+                    "/scenarios/traces/nighres_run.jsonl --stream"),
+            2);
 }
 
 TEST(Cli, ExperimentFollowsTheUsageConvention) {
@@ -163,6 +170,43 @@ TEST(Cli, SweepProgressTickerKeepsReportBytesUnchanged) {
   EXPECT_EQ(std::system(("cmp -s " + out + "plain.json " + out + "ticker.json").c_str()), 0);
   // And the ticker actually ticked: one stderr line per finished case.
   EXPECT_EQ(std::system(("grep -q '\\[sweep\\]' " + out + "ticker.err").c_str()), 0);
+}
+
+TEST(Cli, ReplayExportsChromeTraceUnderAThrashingWindow) {
+  // --trace-viz, --window and --check combine on one replay: the span
+  // export reads the recorded log, the run streams through a window of 1.
+  const std::string viz = ::testing::TempDir() + "replay_viz.json";
+  EXPECT_EQ(run_cli("replay " + std::string(PCS_SOURCE_DIR) +
+                    "/scenarios/traces/nighres_run.jsonl --window 1 --trace-viz " + viz +
+                    " --check"),
+            0);
+  const pcs::util::Json doc = pcs::util::Json::parse_file(viz);
+  EXPECT_GT(doc.at("traceEvents").size(), 0u);
+}
+
+TEST(Cli, ReplayOfACyclicLogFailsAtEverySubmitTime) {
+  // Two tasks that depend on each other: the replay is a run error (exit 1)
+  // naming the cycle, whether the workflow is submitted at t = 0 or later.
+  const std::string platform =
+      std::string(PCS_SOURCE_DIR) + "/scenarios/platforms/paper_cluster.json";
+  for (const char* submit : {"0", "5"}) {
+    const std::string dir = ::testing::TempDir();
+    const std::string log = dir + "cyclic_" + submit + ".jsonl";
+    {
+      std::ofstream out(log);
+      out << "{\"rec\":\"header\",\"version\":2}\n"
+          << "{\"rec\":\"workflow\",\"id\":0,\"label\":\"a\",\"service\":\"\",\"submit\":"
+          << submit << "}\n"
+          << "{\"rec\":\"task\",\"wf\":0,\"name\":\"x\",\"flops\":1,\"deps\":[\"y\"]}\n"
+          << "{\"rec\":\"task\",\"wf\":0,\"name\":\"y\",\"flops\":1,\"deps\":[\"x\"]}\n";
+    }
+    const std::string err = dir + "cyclic_" + submit + ".err";
+    EXPECT_EQ(run_cli_raw("replay " + log + " --platform " + platform + " > /dev/null 2> " + err),
+              1)
+        << "submit " << submit;
+    EXPECT_EQ(std::system(("grep -q 'dependency cycle' " + err).c_str()), 0)
+        << "submit " << submit;
+  }
 }
 
 TEST(Cli, RunWritesTimelineAndChromeTrace) {
